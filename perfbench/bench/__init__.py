@@ -1,0 +1,4 @@
+"""The repository benchmark: three closed-loop workloads, one command.
+
+See ``perfbench/README.md`` for the workloads, the metrics and how to run it.
+"""
